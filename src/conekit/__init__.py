@@ -43,14 +43,12 @@ from .linalg import (
 )
 from .morphisms import (
     BlockIdeal,
-    LawStats,
     StarMorphism,
     compose,
     decompose_positive,
     full_ideal,
     ideal_intersection,
     ideal_sum,
-    image_law_suite,
     restrict_to_blocks,
     zero_ideal,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -254,6 +254,10 @@ def is_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> bool:
     return min(eigs) >= -tol * scale
 
 
+def _clamped_sqrt(t: float) -> float:
+    return math.sqrt(t) if t > 0.0 else 0.0
+
+
 def sqrt_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> AlgElement:
     """The positive square root of a positive element.
 
@@ -262,10 +266,7 @@ def sqrt_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> AlgElement:
     """
     if not is_positive(x, tol):
         raise RejectedInputError("sqrt_positive needs a positive element")
-    parts = tuple(
-        apply_spectral(p, lambda t: math.sqrt(t) if t > 0.0 else 0.0, tol)
-        for p in x.parts
-    )
+    parts = tuple(apply_spectral(p, _clamped_sqrt, tol) for p in x.parts)
     return AlgElement(x.parent, parts)
 
 
@@ -311,10 +312,7 @@ def positivity_witness_check(x: AlgElement, tol: float = DEFAULT_TOL) -> bool:
         route_bstarb = False
         route_square = False
     else:
-        candidate_parts = tuple(
-            apply_spectral(p, lambda t: math.sqrt(t) if t > 0.0 else 0.0, tol)
-            for p in x.parts
-        )
+        candidate_parts = tuple(apply_spectral(p, _clamped_sqrt, tol) for p in x.parts)
         c = AlgElement(x.parent, candidate_parts)
         route_bstarb = (c.star() @ c).allclose(x, max(tol, 1e-9))
         route_square = (c @ c).allclose(x, max(tol, 1e-9))

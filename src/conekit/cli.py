@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import RejectedInputError
@@ -145,6 +146,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        print(
+            f"conekit check: tol must be positive and finite, got {args.tol}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
             payload = json.load(fh)

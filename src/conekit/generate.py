@@ -3,26 +3,25 @@
 An instance is a tower together with two compatible coherent ideals and a
 coherent positive element of their sum — everything a splitting check needs.
 Generation is purely a function of the instance spec (seed plus size caps),
-so two runs anywhere produce byte-identical JSON payloads; a sha256 digest
-over the canonical text is embedded so that replays can prove they are
-looking at the same instance.
+so two runs on one numpy/BLAS build produce byte-identical JSON payloads; a
+sha256 digest over the canonical text is embedded so that replays can prove
+they are looking at the same instance.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Any
 
-from .algebra import FdAlgebra
 from .errors import DecodeError, RejectedInputError
 from .linalg import DEFAULT_TOL
-from .morphisms import random_morphism
 from .rng import GENERATOR_NAME, SplitMix64, derive_seed
-from .sampling import random_masked_element
+from .sampling import random_algebra, random_masked_element, random_morphism
 from .serialize import (
-    canonical_json,
+    _expect_int,
+    _expect_number,
+    canonical_digest,
     decode_coherent_element,
     decode_coherent_ideal,
     decode_system,
@@ -90,19 +89,18 @@ def spec_to_json(spec: InstanceSpec) -> dict:
 def spec_from_json(obj: Any, where: str = "spec") -> InstanceSpec:
     if not isinstance(obj, dict):
         raise DecodeError(f"expected an object, got {type(obj).__name__}", where)
-    known = {"seed", "blocks", "max_dim", "depth", "tol"}
-    stray = set(obj) - known
+    defaults = spec_to_json(InstanceSpec())
+    stray = set(obj) - set(defaults)
     if stray:
         raise DecodeError(f"unknown fields {sorted(stray)}", where)
-    defaults = InstanceSpec()
-    merged = {**spec_to_json(defaults), **obj}
+    merged = {**defaults, **obj}
     try:
         return InstanceSpec(
-            seed=merged["seed"],
-            blocks=merged["blocks"],
-            max_dim=merged["max_dim"],
-            depth=merged["depth"],
-            tol=merged["tol"],
+            seed=_expect_int(merged["seed"], f"{where}.seed"),
+            blocks=_expect_int(merged["blocks"], f"{where}.blocks"),
+            max_dim=_expect_int(merged["max_dim"], f"{where}.max_dim"),
+            depth=_expect_int(merged["depth"], f"{where}.depth"),
+            tol=_expect_number(merged["tol"], f"{where}.tol"),
         )
     except RejectedInputError as exc:
         raise DecodeError(str(exc), where) from exc
@@ -122,8 +120,7 @@ class Instance:
 def gen_instance(spec: InstanceSpec) -> Instance:
     """Build the instance the spec points at, top level downwards."""
     rng = SplitMix64(derive_seed(spec.seed, "instance"))
-    count = rng.randint(1, spec.blocks)
-    top = FdAlgebra(tuple(rng.randint(1, spec.max_dim) for _ in range(count)))
+    top = random_algebra(rng, spec.blocks, spec.max_dim)
     algebras = [top]
     down_steps = []
     for _ in range(spec.depth - 1):
@@ -141,10 +138,6 @@ def gen_instance(spec: InstanceSpec) -> Instance:
     return Instance(system, first, second, element)
 
 
-def _digest(body: dict) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-
 def instance_payload(spec: InstanceSpec) -> dict:
     """Generate and encode the instance, digest included."""
     inst = gen_instance(spec)
@@ -156,7 +149,7 @@ def instance_payload(spec: InstanceSpec) -> dict:
         "second": encode_coherent_ideal(inst.second),
         "element": encode_coherent_element(inst.element),
     }
-    return {**body, "digest": _digest(body)}
+    return {**body, "digest": canonical_digest(body)}
 
 
 def check_instance(payload: Any, tol: float | None = None) -> tuple[str, ...]:
@@ -181,7 +174,7 @@ def check_instance(payload: Any, tol: float | None = None) -> tuple[str, ...]:
             f"generator: expected {GENERATOR_NAME!r}, got {payload['generator']!r}"
         )
     body = {k: v for k, v in payload.items() if k != "digest"}
-    if _digest(body) != payload["digest"]:
+    if canonical_digest(body) != payload["digest"]:
         problems.append("digest: does not match the payload")
     try:
         spec = spec_from_json(payload["spec"])

@@ -8,8 +8,9 @@ optional unitary twist, with distinct target blocks drawn from distinct
 source blocks.  Dropped source blocks map to zero.
 
 The module also carries the positive-element splitting rule for a sum of two
-ideals (half of each shared block to either side) and residual-style checks
-for the interaction laws between ideals, cones and morphism images.
+ideals (half of each shared block to either side).  Random ideals and
+morphisms are drawn in ``sampling``; the interaction laws between ideals,
+cones and morphism images are checked by the ``lemmas`` suite in ``suites``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from dataclasses import dataclass
 from .algebra import AlgElement, FdAlgebra, positivity_defect
 from .errors import RejectedInputError
 from .linalg import CMatrix, DEFAULT_TOL, floor_scale
-from .rng import SplitMix64, derive_seed
-from .sampling import (
-    random_element,
-    random_masked_element,
-    random_positive_element,
-    random_unitary,
-)
 
 TWIST_UNITARITY_TOL = 1e-10
 
@@ -245,224 +239,12 @@ def decompose_positive(
     for k, p in enumerate(c.parts):
         in_first = k in first.support
         in_second = k in second.support
-        if in_first and in_second:
-            a_parts.append(0.5 * p)
-            b_parts.append(0.5 * p)
-        elif in_first:
-            a_parts.append(p)
-            b_parts.append(CMatrix.zeros(p.dim))
-        elif in_second:
-            a_parts.append(CMatrix.zeros(p.dim))
-            b_parts.append(p)
-        else:
-            if p.frobenius() > tol * scale:
-                raise RejectedInputError(
-                    f"block {k} lies outside both ideals but is not zero"
-                )
-            a_parts.append(CMatrix.zeros(p.dim))
-            b_parts.append(CMatrix.zeros(p.dim))
+        if not (in_first or in_second) and p.frobenius() > tol * scale:
+            raise RejectedInputError(
+                f"block {k} lies outside both ideals but is not zero"
+            )
+        share = 0.5 * p if in_first and in_second else p
+        a_parts.append(share if in_first else CMatrix.zeros(p.dim))
+        b_parts.append(share if in_second else CMatrix.zeros(p.dim))
     alg = c.parent
     return alg.element(a_parts), alg.element(b_parts)
-
-
-# --------------------------------------------------------------------------
-# random generators and law checks
-# --------------------------------------------------------------------------
-
-
-def random_block_algebra(rng: SplitMix64, blocks: int, max_dim: int) -> FdAlgebra:
-    count = rng.randint(1, blocks)
-    return FdAlgebra(tuple(rng.randint(1, max_dim) for _ in range(count)))
-
-
-def random_ideal(rng: SplitMix64, alg: FdAlgebra, allow_empty: bool = True) -> BlockIdeal:
-    picked = rng.subset(range(alg.block_count), allow_empty=allow_empty)
-    return BlockIdeal(alg, frozenset(picked))
-
-
-def random_morphism(rng: SplitMix64, source: FdAlgebra) -> StarMorphism:
-    """Random block-selection morphism out of ``source``, twists included."""
-    n = source.block_count
-    k = rng.randint(1, n)
-    kept = tuple(rng.sample(range(n), k))
-    target = FdAlgebra(tuple(source.blocks[i] for i in kept))
-    twists = tuple(
-        random_unitary(rng, source.blocks[i]) if rng.chance(0.5) else None
-        for i in kept
-    )
-    return StarMorphism(source, target, kept, twists)
-
-
-def _reldist(x: AlgElement, y: AlgElement) -> float:
-    return (x - y).frobenius() / floor_scale(max(x.frobenius(), y.frobenius()))
-
-
-def _law_ideal_image_is_ideal(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    f = random_morphism(rng, alg)
-    image = f.image_ideal(random_ideal(rng, alg))
-    x = random_masked_element(rng, f.target, image.support)
-    y = random_element(rng, f.target)
-    return max(
-        image.membership_defect(x @ y),
-        image.membership_defect(y @ x),
-        image.membership_defect(x.star()),
-        image.membership_defect(x + x),
-    )
-
-
-def _law_positive_cone_image(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    f = random_morphism(rng, alg)
-    p = random_positive_element(rng, alg)
-    forward = positivity_defect(f.apply(p), tol)
-    q = random_positive_element(rng, f.target)
-    g = f.zero_extended_preimage(q)
-    return max(forward, positivity_defect(g, tol), _reldist(f.apply(g), q))
-
-
-def _law_ideal_cone_image(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    f = random_morphism(rng, alg)
-    ideal = random_ideal(rng, alg)
-    image = f.image_ideal(ideal)
-    p = random_masked_element(rng, alg, ideal.support, positive=True)
-    fp = f.apply(p)
-    forward = max(positivity_defect(fp, tol), image.membership_defect(fp))
-    q = random_masked_element(rng, f.target, image.support, positive=True)
-    g = f.zero_extended_preimage(q)
-    backward = max(
-        positivity_defect(g, tol),
-        ideal.membership_defect(g),
-        _reldist(f.apply(g), q),
-    )
-    return max(forward, backward)
-
-
-def _law_cone_sum_image(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    f = random_morphism(rng, alg)
-    first = random_ideal(rng, alg)
-    second = random_ideal(rng, alg)
-    img_first = f.image_ideal(first)
-    img_second = f.image_ideal(second)
-    p = random_masked_element(rng, alg, first.support, positive=True)
-    q = random_masked_element(rng, alg, second.support, positive=True)
-    forward = max(
-        _reldist(f.apply(p + q), f.apply(p) + f.apply(q)),
-        img_first.membership_defect(f.apply(p)),
-        img_second.membership_defect(f.apply(q)),
-    )
-    x = random_masked_element(rng, f.target, img_first.support, positive=True)
-    y = random_masked_element(rng, f.target, img_second.support, positive=True)
-    gx = f.zero_extended_preimage(x)
-    gy = f.zero_extended_preimage(y)
-    backward = max(
-        positivity_defect(gx, tol),
-        first.membership_defect(gx),
-        positivity_defect(gy, tol),
-        second.membership_defect(gy),
-        _reldist(f.apply(gx + gy), x + y),
-    )
-    return max(forward, backward)
-
-
-def _law_ideal_sum_cone_image(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    f = random_morphism(rng, alg)
-    first = random_ideal(rng, alg)
-    second = random_ideal(rng, alg)
-    total = ideal_sum(first, second)
-    img_total = f.image_ideal(total)
-    support_law = (
-        0.0
-        if img_total.support
-        == (f.image_ideal(first).support | f.image_ideal(second).support)
-        else 1.0
-    )
-    c = random_masked_element(rng, alg, total.support, positive=True)
-    fc = f.apply(c)
-    forward = max(positivity_defect(fc, tol), img_total.membership_defect(fc))
-    q = random_masked_element(rng, f.target, img_total.support, positive=True)
-    g = f.zero_extended_preimage(q)
-    backward = max(
-        positivity_defect(g, tol),
-        total.membership_defect(g),
-        _reldist(f.apply(g), q),
-    )
-    return max(support_law, forward, backward)
-
-
-def _law_full_cone_intersection(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    ideal = random_ideal(rng, alg)
-    c = random_positive_element(rng, alg)
-    inside = ideal.mask(c)
-    return max(
-        positivity_defect(inside, tol),
-        ideal.membership_defect(inside),
-        positivity_defect(c - inside, tol),
-    )
-
-
-def _law_subalgebra_cone_restriction(rng: SplitMix64, blocks: int, max_dim: int, tol: float) -> float:
-    alg = random_block_algebra(rng, blocks, max_dim)
-    support = frozenset(rng.subset(range(alg.block_count), allow_empty=False))
-    r = restrict_to_blocks(alg, support)
-    c = random_positive_element(rng, alg)
-    forward = positivity_defect(r.apply(c), tol)
-    q = random_positive_element(rng, r.target)
-    g = r.zero_extended_preimage(q)
-    backward = max(positivity_defect(g, tol), _reldist(r.apply(g), q))
-    return max(forward, backward)
-
-
-LAW_CHECKS = {
-    "ideal_image_is_ideal": _law_ideal_image_is_ideal,
-    "positive_cone_image": _law_positive_cone_image,
-    "ideal_cone_image": _law_ideal_cone_image,
-    "cone_sum_image": _law_cone_sum_image,
-    "ideal_sum_cone_image": _law_ideal_sum_cone_image,
-    "full_cone_intersection": _law_full_cone_intersection,
-    "subalgebra_cone_restriction": _law_subalgebra_cone_restriction,
-}
-
-
-@dataclass(frozen=True)
-class LawStats:
-    """Outcome of running one law check over many random instances."""
-
-    name: str
-    trials: int
-    failures: int
-    worst_residual: float
-    failing_seeds: tuple[int, ...]
-
-
-def image_law_suite(
-    seed: int,
-    trials: int = 100,
-    blocks: int = 3,
-    max_dim: int = 4,
-    tol: float = DEFAULT_TOL,
-) -> dict[str, LawStats]:
-    """Exercise every image/cone interaction law on random instances.
-
-    Each trial of each law runs on its own child seed, so any failure can be
-    replayed in isolation from the seed recorded in the stats.
-    """
-    results = {}
-    for name, check in LAW_CHECKS.items():
-        failures = 0
-        worst = 0.0
-        failing: list[int] = []
-        for t in range(trials):
-            child = derive_seed(seed, name, t)
-            residual = check(SplitMix64(child), blocks, max_dim, tol)
-            worst = max(worst, residual)
-            if residual > tol:
-                failures += 1
-                if len(failing) < 5:
-                    failing.append(child)
-        results[name] = LawStats(name, trials, failures, worst, tuple(failing))
-    return results

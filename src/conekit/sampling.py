@@ -1,5 +1,6 @@
-"""Random matrices and algebra elements drawn from a SplitMix64 stream.
+"""Every random generator of the package, drawn from a SplitMix64 stream.
 
+Matrices, algebras, elements, ideals and morphisms are all sampled here.
 Every sampler takes the stream as an explicit argument so that callers own
 the seed and any draw can be replayed exactly.  The base draw fills a matrix
 with entries uniform on the square [-1, 1] x [-1, 1] in the complex plane;
@@ -13,6 +14,7 @@ import numpy as np
 
 from .algebra import AlgElement, FdAlgebra
 from .linalg import CMatrix, eig_hermitian
+from .morphisms import BlockIdeal, StarMorphism
 from .rng import SplitMix64
 
 
@@ -72,3 +74,27 @@ def random_masked_element(
         else:
             parts.append(CMatrix.zeros(d))
     return alg.element(parts)
+
+
+def random_algebra(rng: SplitMix64, blocks: int, max_dim: int) -> FdAlgebra:
+    """Algebra with 1..blocks blocks, each of dimension 1..max_dim."""
+    count = rng.randint(1, blocks)
+    return FdAlgebra(tuple(rng.randint(1, max_dim) for _ in range(count)))
+
+
+def random_ideal(rng: SplitMix64, alg: FdAlgebra, allow_empty: bool = True) -> BlockIdeal:
+    picked = rng.subset(range(alg.block_count), allow_empty=allow_empty)
+    return BlockIdeal(alg, frozenset(picked))
+
+
+def random_morphism(rng: SplitMix64, source: FdAlgebra) -> StarMorphism:
+    """Random block-selection morphism out of ``source``, twists included."""
+    n = source.block_count
+    k = rng.randint(1, n)
+    kept = tuple(rng.sample(range(n), k))
+    target = FdAlgebra(tuple(source.blocks[i] for i in kept))
+    twists = tuple(
+        random_unitary(rng, source.blocks[i]) if rng.chance(0.5) else None
+        for i in kept
+    )
+    return StarMorphism(source, target, kept, twists)

@@ -19,9 +19,10 @@ raise DecodeError whose ``location`` names the offending spot.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from typing import Any, Mapping
+from typing import Any
 
 from .algebra import AlgElement, FdAlgebra
 from .errors import DecodeError, RejectedInputError
@@ -34,6 +35,11 @@ import numpy as np
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def canonical_digest(obj: Any) -> str:
+    """sha256 hex digest of the canonical JSON text of ``obj``."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def _expect_dict(obj: Any, where: str) -> dict:

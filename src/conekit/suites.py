@@ -1,24 +1,26 @@
 """Randomized verification suites with deterministic, replayable reports.
 
+This is the one suite runner, and every property it checks lives here, the
+ideal/cone/morphism interaction laws of the ``lemmas`` suite included.
 Each suite is a family of named properties.  Trial ``t`` of a suite runs on
 the child seed ``derive_seed(seed, suite, t)``, and each property inside the
 trial draws from its own child of that, so any failure can be replayed in
 isolation.  A report is a plain JSON-ready dict: per-property pass/fail
 counts and worst residuals, plus one entry per failing trial embedding the
-replay seed and a digest of the offending inputs.  Reports contain no
-timestamps and no environment data, so the same seed and parameters render
-byte-identical text anywhere — including under multiple worker processes,
-because results are merged in trial order.
+replay seed and a digest of the offending inputs (a trial that raises has a
+null residual).  Reports contain no timestamps and no environment data, so
+the same seed and parameters render byte-identical text for a given
+numpy/BLAS build, including under multiple worker processes, because
+results are merged in trial order.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import (
-    FdAlgebra,
     cstar_norm,
     pos_neg_parts,
     positivity_defect,
@@ -29,20 +31,18 @@ from .algebra import (
 from .errors import RejectedInputError
 from .generate import InstanceSpec, check_instance, gen_instance, instance_payload
 from .linalg import DEFAULT_TOL, eig_hermitian, floor_scale
-from .morphisms import (
-    LAW_CHECKS,
-    decompose_positive,
-    random_ideal,
-    random_morphism,
-)
+from .morphisms import decompose_positive, ideal_sum, restrict_to_blocks
 from .rng import GENERATOR_NAME, SplitMix64, derive_seed
 from .sampling import (
+    random_algebra,
     random_element,
     random_hermitian_element,
+    random_ideal,
     random_masked_element,
+    random_morphism,
     random_positive_element,
 )
-from .serialize import canonical_json, encode_element
+from .serialize import canonical_digest, canonical_json, encode_element
 from .towers import (
     coherence_defect,
     coherent_ideal_sum,
@@ -69,21 +69,12 @@ class SuiteParams:
             raise RejectedInputError(f"seed must be a 64-bit value, got {self.seed}")
         if self.trials < 1:
             raise RejectedInputError(f"trials must be >= 1, got {self.trials}")
-        if not self.tol > 0:
-            raise RejectedInputError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise RejectedInputError(f"tol must be positive and finite, got {self.tol}")
         if self.blocks < 1 or self.max_dim < 1 or self.depth < 1:
             raise RejectedInputError("blocks, max_dim and depth must be >= 1")
         if self.workers < 1:
             raise RejectedInputError(f"workers must be >= 1, got {self.workers}")
-
-
-def _digest_payload(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def _random_algebra(rng: SplitMix64, p: SuiteParams) -> FdAlgebra:
-    count = rng.randint(1, p.blocks)
-    return FdAlgebra(tuple(rng.randint(1, p.max_dim) for _ in range(count)))
 
 
 def _reldist(x, y) -> float:
@@ -94,7 +85,7 @@ def _reldist(x, y) -> float:
 
 
 def _prop_eig_reconstruction(rng, p):
-    x = random_hermitian_element(rng, _random_algebra(rng, p))
+    x = random_hermitian_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     worst = 0.0
     for part in x.parts:
         res = eig_hermitian(part, p.tol)
@@ -104,7 +95,7 @@ def _prop_eig_reconstruction(rng, p):
 
 
 def _prop_eig_unitarity(rng, p):
-    x = random_hermitian_element(rng, _random_algebra(rng, p))
+    x = random_hermitian_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     worst = max(
         eig_hermitian(part, p.tol).unitarity_defect() / part.dim for part in x.parts
     )
@@ -112,7 +103,7 @@ def _prop_eig_unitarity(rng, p):
 
 
 def _prop_eig_ascending(rng, p):
-    x = random_hermitian_element(rng, _random_algebra(rng, p))
+    x = random_hermitian_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     ok = all(
         all(a <= b for a, b in zip(res.eigenvalues, res.eigenvalues[1:]))
         for res in (eig_hermitian(part, p.tol) for part in x.parts)
@@ -121,21 +112,21 @@ def _prop_eig_ascending(rng, p):
 
 
 def _prop_cstar_identity(rng, p):
-    x = random_element(rng, _random_algebra(rng, p))
+    x = random_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     n = cstar_norm(x)
     residual = abs(cstar_norm(x.star() @ x) - n * n) / floor_scale(n * n)
     return residual, {"element": encode_element(x)}
 
 
 def _prop_sqrt_squares_back(rng, p):
-    q = random_positive_element(rng, _random_algebra(rng, p))
+    q = random_positive_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     r = sqrt_positive(q, p.tol)
     residual = max(_reldist(r @ r, q), positivity_defect(r, p.tol))
     return residual, {"element": encode_element(q)}
 
 
 def _prop_pos_neg_laws(rng, p):
-    x = random_hermitian_element(rng, _random_algebra(rng, p))
+    x = random_hermitian_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     pos, neg, absval = pos_neg_parts(x, p.tol)
     scale = floor_scale(cstar_norm(x)) ** 2
     residual = max(
@@ -149,7 +140,7 @@ def _prop_pos_neg_laws(rng, p):
 
 
 def _prop_spectrum_real(rng, p):
-    x = random_hermitian_element(rng, _random_algebra(rng, p))
+    x = random_hermitian_element(rng, random_algebra(rng, p.blocks, p.max_dim))
     rep = spectrum(x, p.tol)
     if not rep.is_real:
         return 1.0, {"element": encode_element(x)}
@@ -163,21 +154,21 @@ def _prop_spectrum_real(rng, p):
 
 
 def _prop_sum_closure(rng, p):
-    alg = _random_algebra(rng, p)
+    alg = random_algebra(rng, p.blocks, p.max_dim)
     a = random_positive_element(rng, alg)
     b = random_positive_element(rng, alg)
     return positivity_defect(a + b, p.tol), {"element": encode_element(a + b)}
 
 
 def _prop_scale_closure(rng, p):
-    alg = _random_algebra(rng, p)
+    alg = random_algebra(rng, p.blocks, p.max_dim)
     a = random_positive_element(rng, alg)
     lam = rng.uniform(0.0, 4.0)
     return positivity_defect(lam * a, p.tol), {"element": encode_element(a), "scale": lam}
 
 
 def _prop_conjugation_closure(rng, p):
-    alg = _random_algebra(rng, p)
+    alg = random_algebra(rng, p.blocks, p.max_dim)
     a = random_positive_element(rng, alg)
     y = random_element(rng, alg)
     return positivity_defect(y.star() @ a @ y, p.tol), {
@@ -187,14 +178,14 @@ def _prop_conjugation_closure(rng, p):
 
 
 def _prop_pointedness(rng, p):
-    alg = _random_algebra(rng, p)
+    alg = random_algebra(rng, p.blocks, p.max_dim)
     a = random_positive_element(rng, alg)
     residual = cstar_norm(a) if positivity_defect(-a, p.tol) <= p.tol else 0.0
     return residual, {"element": encode_element(a)}
 
 
 def _prop_witness_agreement(rng, p):
-    alg = _random_algebra(rng, p)
+    alg = random_algebra(rng, p.blocks, p.max_dim)
     kind = rng.choice(("raw", "hermitian", "positive", "shifted"))
     if kind == "raw":
         x = random_element(rng, alg)
@@ -210,14 +201,136 @@ def _prop_witness_agreement(rng, p):
 
 
 # --- lemmas: ideal/cone interaction laws under morphism images ------------
+# The law bodies name elements p and q, so their parameters are ``params``.
 
 
-def _lemma_prop(law_name):
-    check = LAW_CHECKS[law_name]
+def _law_ideal_image_is_ideal(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    f = random_morphism(rng, alg)
+    image = f.image_ideal(random_ideal(rng, alg))
+    x = random_masked_element(rng, f.target, image.support)
+    y = random_element(rng, f.target)
+    return max(
+        image.membership_defect(x @ y),
+        image.membership_defect(y @ x),
+        image.membership_defect(x.star()),
+        image.membership_defect(x + x),
+    )
 
-    def prop(rng, p):
-        residual = check(rng, p.blocks, p.max_dim, p.tol)
-        return residual, {"law": law_name}
+
+def _law_positive_cone_image(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    f = random_morphism(rng, alg)
+    p = random_positive_element(rng, alg)
+    forward = positivity_defect(f.apply(p), params.tol)
+    q = random_positive_element(rng, f.target)
+    g = f.zero_extended_preimage(q)
+    return max(forward, positivity_defect(g, params.tol), _reldist(f.apply(g), q))
+
+
+def _ideal_cone_image(rng, f, ideal, tol):
+    """f maps the positive cone of ``ideal`` onto the positive cone of its image."""
+    image = f.image_ideal(ideal)
+    p = random_masked_element(rng, f.source, ideal.support, positive=True)
+    fp = f.apply(p)
+    forward = max(positivity_defect(fp, tol), image.membership_defect(fp))
+    q = random_masked_element(rng, f.target, image.support, positive=True)
+    g = f.zero_extended_preimage(q)
+    backward = max(
+        positivity_defect(g, tol),
+        ideal.membership_defect(g),
+        _reldist(f.apply(g), q),
+    )
+    return max(forward, backward)
+
+
+def _law_ideal_cone_image(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    f = random_morphism(rng, alg)
+    return _ideal_cone_image(rng, f, random_ideal(rng, alg), params.tol)
+
+
+def _law_cone_sum_image(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    f = random_morphism(rng, alg)
+    first = random_ideal(rng, alg)
+    second = random_ideal(rng, alg)
+    img_first = f.image_ideal(first)
+    img_second = f.image_ideal(second)
+    p = random_masked_element(rng, alg, first.support, positive=True)
+    q = random_masked_element(rng, alg, second.support, positive=True)
+    forward = max(
+        _reldist(f.apply(p + q), f.apply(p) + f.apply(q)),
+        img_first.membership_defect(f.apply(p)),
+        img_second.membership_defect(f.apply(q)),
+    )
+    x = random_masked_element(rng, f.target, img_first.support, positive=True)
+    y = random_masked_element(rng, f.target, img_second.support, positive=True)
+    gx = f.zero_extended_preimage(x)
+    gy = f.zero_extended_preimage(y)
+    backward = max(
+        positivity_defect(gx, params.tol),
+        first.membership_defect(gx),
+        positivity_defect(gy, params.tol),
+        second.membership_defect(gy),
+        _reldist(f.apply(gx + gy), x + y),
+    )
+    return max(forward, backward)
+
+
+def _law_ideal_sum_cone_image(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    f = random_morphism(rng, alg)
+    first = random_ideal(rng, alg)
+    second = random_ideal(rng, alg)
+    total = ideal_sum(first, second)
+    support_law = (
+        0.0
+        if f.image_ideal(total).support
+        == (f.image_ideal(first).support | f.image_ideal(second).support)
+        else 1.0
+    )
+    return max(support_law, _ideal_cone_image(rng, f, total, params.tol))
+
+
+def _law_full_cone_intersection(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    ideal = random_ideal(rng, alg)
+    c = random_positive_element(rng, alg)
+    inside = ideal.mask(c)
+    return max(
+        positivity_defect(inside, params.tol),
+        ideal.membership_defect(inside),
+        positivity_defect(c - inside, params.tol),
+    )
+
+
+def _law_subalgebra_cone_restriction(rng, params):
+    alg = random_algebra(rng, params.blocks, params.max_dim)
+    support = frozenset(rng.subset(range(alg.block_count), allow_empty=False))
+    r = restrict_to_blocks(alg, support)
+    c = random_positive_element(rng, alg)
+    forward = positivity_defect(r.apply(c), params.tol)
+    q = random_positive_element(rng, r.target)
+    g = r.zero_extended_preimage(q)
+    backward = max(positivity_defect(g, params.tol), _reldist(r.apply(g), q))
+    return max(forward, backward)
+
+
+LAW_CHECKS = {
+    "ideal_image_is_ideal": _law_ideal_image_is_ideal,
+    "positive_cone_image": _law_positive_cone_image,
+    "ideal_cone_image": _law_ideal_cone_image,
+    "cone_sum_image": _law_cone_sum_image,
+    "ideal_sum_cone_image": _law_ideal_sum_cone_image,
+    "full_cone_intersection": _law_full_cone_intersection,
+    "subalgebra_cone_restriction": _law_subalgebra_cone_restriction,
+}
+
+
+def _lemma_prop(law_name, check):
+    def prop(rng, params):
+        return check(rng, params), {"law": law_name}
 
     return prop
 
@@ -226,7 +339,7 @@ def _lemma_prop(law_name):
 
 
 def _theorem_case(rng, p):
-    alg = _random_algebra(rng, p)
+    alg = random_algebra(rng, p.blocks, p.max_dim)
     first = random_ideal(rng, alg)
     second = random_ideal(rng, alg)
     union = first.support | second.support
@@ -369,7 +482,7 @@ SUITES = {
         "pointedness": _prop_pointedness,
         "witness_agreement": _prop_witness_agreement,
     },
-    "lemmas": {name: _lemma_prop(name) for name in LAW_CHECKS},
+    "lemmas": {name: _lemma_prop(name, check) for name, check in LAW_CHECKS.items()},
     "theorem": {
         "split_sum_exact": _prop_split_sum_exact,
         "split_parts_positive": _prop_split_parts_positive,
@@ -400,7 +513,7 @@ def _run_trial(suite: str, p: SuiteParams, t: int) -> list[tuple]:
             message = f"{type(exc).__name__}: {exc}"
         digest = None
         if residual > p.tol:
-            digest = _digest_payload(payload)
+            digest = canonical_digest(payload)
             if not message:
                 message = f"residual {residual:.3e} exceeds tol {p.tol:.1e}"
         rows.append((name, t, trial_seed, residual, digest, message))
@@ -437,12 +550,24 @@ def _single_report(suite: str, p: SuiteParams) -> dict:
                         "trial": t,
                         "seed": trial_seed,
                         "digest": digest,
-                        "residual": residual,
+                        "residual": _json_residual(residual),
                         "message": message,
                     }
                 )
+    for entry in stats.values():
+        entry["worst_residual"] = _json_residual(entry["worst_residual"])
     failures.sort(key=lambda f: (f["property"], f["trial"]))
     failure_count = sum(entry["failures"] for entry in stats.values())
+    return _report(suite, p, failure_count, properties=stats, failures=failures)
+
+
+def _json_residual(residual: float) -> float | None:
+    """JSON has no infinity: a crashed trial's residual is reported as null."""
+    return residual if math.isfinite(residual) else None
+
+
+def _report(suite: str, p: SuiteParams, failure_count: int, **body) -> dict:
+    """The fields every report carries, around its suite-specific body."""
     return {
         "generator": GENERATOR_NAME,
         "suite": suite,
@@ -452,8 +577,7 @@ def _single_report(suite: str, p: SuiteParams) -> dict:
         "blocks": p.blocks,
         "max_dim": p.max_dim,
         "depth": p.depth,
-        "properties": stats,
-        "failures": failures,
+        **body,
         "failure_count": failure_count,
         "ok": failure_count == 0,
     }
@@ -465,19 +589,7 @@ def run_suite(suite: str, params: SuiteParams | None = None) -> dict:
     if suite == "all":
         subreports = {name: _single_report(name, p) for name in SUITE_NAMES}
         failure_count = sum(r["failure_count"] for r in subreports.values())
-        return {
-            "generator": GENERATOR_NAME,
-            "suite": "all",
-            "seed": p.seed,
-            "trials": p.trials,
-            "tol": p.tol,
-            "blocks": p.blocks,
-            "max_dim": p.max_dim,
-            "depth": p.depth,
-            "subreports": subreports,
-            "failure_count": failure_count,
-            "ok": failure_count == 0,
-        }
+        return _report("all", p, failure_count, subreports=subreports)
     return _single_report(suite, p)
 
 
@@ -500,9 +612,12 @@ def render_report(report: dict) -> str:
     for name in sorted(report["properties"]):
         entry = report["properties"][name]
         verdict = "ok" if entry["failures"] == 0 else f"{entry['failures']} FAILED"
+        worst = entry["worst_residual"]
+        if worst is None:  # a trial crashed; the text form shows that as inf
+            worst = float("inf")
         lines.append(
             f"  {name}: {verdict} ({entry['trials']} trials, "
-            f"worst residual {entry['worst_residual']:.3e})"
+            f"worst residual {worst:.3e})"
         )
     for fail in report["failures"]:
         lines.append(

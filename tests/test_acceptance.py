@@ -19,16 +19,14 @@ from conekit.algebra import (
 )
 from conekit.generate import InstanceSpec, gen_instance
 from conekit.linalg import eig_hermitian, floor_scale
-from conekit.morphisms import (
-    decompose_positive,
-    image_law_suite,
-    random_ideal,
-)
+from conekit.morphisms import decompose_positive
 from conekit.rng import SplitMix64, derive_seed
 from conekit.sampling import (
+    random_algebra,
     random_element,
     random_hermitian,
     random_hermitian_element,
+    random_ideal,
     random_masked_element,
     random_positive_element,
 )
@@ -52,8 +50,7 @@ def criterion(line: str):
 
 
 def small_algebra(rng: SplitMix64) -> FdAlgebra:
-    count = rng.randint(1, 3)
-    return FdAlgebra(tuple(rng.randint(1, 4) for _ in range(count)))
+    return random_algebra(rng, 3, 4)
 
 
 def test_criterion_1_eigensolver():
@@ -142,11 +139,12 @@ def test_criterion_5_cone_properties():
 
 def test_criterion_6_image_laws():
     with criterion("criterion 6: image/cone interaction laws on 100 instances each"):
-        stats = image_law_suite(seed=1, trials=100)
-        assert len(stats) == 7
-        for s in stats.values():
-            assert s.failures == 0
-            assert s.worst_residual <= 1e-9
+        report = run_suite("lemmas", SuiteParams(seed=1, trials=100))
+        assert len(report["properties"]) == 7
+        for entry in report["properties"].values():
+            assert entry["trials"] == 100
+            assert entry["failures"] == 0
+            assert entry["worst_residual"] <= 1e-9
 
 
 def test_criterion_7_single_level_split():

@@ -56,6 +56,21 @@ class TestVerify:
         assert "FAILED" in out
         assert "replay:" in out
 
+    def test_json_report_with_crashed_trials(self, capsys):
+        # at this tolerance sqrt_positive rejects its own positive draws
+        code = main(
+            ["verify", "--suite", "calculus", "--seed", "3", "--trials", "10",
+             "--tol", "1e-17", "--json"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert not report["ok"]
+        crashed = [f for f in report["failures"] if f["residual"] is None]
+        assert crashed
+        assert all("Error: " in f["message"] for f in crashed)
+        for name in {f["property"] for f in crashed}:
+            assert report["properties"][name]["worst_residual"] is None
+
     def test_all_suite_flag_combination(self, capsys):
         code = main(
             [
@@ -111,6 +126,35 @@ class TestGenAndCheck:
     def test_check_missing_file(self, capsys):
         assert main(["check", "--instance", "/nonexistent/instance.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["check", "--tol", "-1"], None),
+            (["check", "--tol", "nan"], None),
+            (["gen"], {"blocks": 2.5}),
+            (["gen"], {"seed": True}),
+            (["verify", "--tol", "inf"], None),
+        ],
+        ids=["check-negative-tol", "check-nan-tol", "gen-float-blocks",
+             "gen-bool-seed", "verify-infinite-tol"],
+    )
+    def test_exit_two_with_one_line_message(self, argv, spec, tmp_path, capsys):
+        if argv[0] == "check":
+            path = tmp_path / "instance.json"
+            path.write_text(canonical_json(instance_payload(InstanceSpec(seed=2))))
+            argv = [*argv, "--instance", str(path)]
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = [*argv, "--spec", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"conekit {argv[0]}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -16,16 +16,15 @@ from conekit.morphisms import (
     full_ideal,
     ideal_intersection,
     ideal_sum,
-    image_law_suite,
-    random_ideal,
-    random_morphism,
     restrict_to_blocks,
     zero_ideal,
 )
 from conekit.rng import SplitMix64, derive_seed
 from conekit.sampling import (
     random_element,
+    random_ideal,
     random_masked_element,
+    random_morphism,
     random_positive,
     random_positive_element,
     random_unitary,
@@ -260,32 +259,3 @@ class TestDecomposePositive:
         assert f.apply(a) == a2
         assert f.apply(b) == b2
 
-
-class TestImageLawSuite:
-    def test_all_laws_hold(self):
-        stats = image_law_suite(seed=2026, trials=30)
-        assert set(stats) == {
-            "ideal_image_is_ideal",
-            "positive_cone_image",
-            "ideal_cone_image",
-            "cone_sum_image",
-            "ideal_sum_cone_image",
-            "full_cone_intersection",
-            "subalgebra_cone_restriction",
-        }
-        for s in stats.values():
-            assert s.failures == 0, f"{s.name} failed with residual {s.worst_residual}"
-            assert s.trials == 30
-            assert s.worst_residual <= 1e-9
-
-    def test_suite_is_deterministic(self):
-        first = image_law_suite(seed=99, trials=10)
-        second = image_law_suite(seed=99, trials=10)
-        assert first == second
-
-    def test_different_seeds_differ(self):
-        first = image_law_suite(seed=1, trials=5)
-        second = image_law_suite(seed=2, trials=5)
-        worst1 = [s.worst_residual for s in first.values()]
-        worst2 = [s.worst_residual for s in second.values()]
-        assert worst1 != worst2

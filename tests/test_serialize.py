@@ -8,9 +8,9 @@ import pytest
 from conekit.algebra import FdAlgebra
 from conekit.errors import DecodeError
 from conekit.linalg import CMatrix
-from conekit.morphisms import BlockIdeal, StarMorphism, random_morphism
+from conekit.morphisms import BlockIdeal, StarMorphism
 from conekit.rng import SplitMix64, derive_seed
-from conekit.sampling import random_element, random_hermitian_element
+from conekit.sampling import random_element, random_hermitian_element, random_morphism
 from conekit.serialize import (
     canonical_json,
     decode_coherent_element,

@@ -64,10 +64,11 @@ class TestDeterminism:
         parallel = run_suite("theorem", SuiteParams(seed=8, trials=10, workers=2))
         assert canonical_json(serial) == canonical_json(parallel)
 
-    def test_seed_changes_residuals(self):
-        a = run_suite("calculus", SuiteParams(seed=1, trials=6))
-        b = run_suite("calculus", SuiteParams(seed=2, trials=6))
-        assert canonical_json(a) != canonical_json(b)
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_seed_changes_residuals(self, suite):
+        a = run_suite(suite, SuiteParams(seed=1, trials=6))
+        b = run_suite(suite, SuiteParams(seed=2, trials=6))
+        assert a["properties"] != b["properties"]  # not just the seed field
 
 
 class TestFailurePath:

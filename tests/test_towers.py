@@ -5,16 +5,12 @@ import pytest
 from conekit.algebra import FdAlgebra, is_positive
 from conekit.errors import RejectedInputError
 from conekit.linalg import CMatrix
-from conekit.morphisms import (
-    BlockIdeal,
-    StarMorphism,
-    random_ideal,
-    random_morphism,
-)
+from conekit.morphisms import BlockIdeal, StarMorphism
 from conekit.rng import SplitMix64, derive_seed
 from conekit.sampling import (
     random_hermitian_element,
     random_masked_element,
+    random_morphism,
     random_positive_element,
     random_unitary,
 )
