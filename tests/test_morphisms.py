@@ -29,6 +29,8 @@ from conekit.sampling import (
     random_positive_element,
     random_unitary,
 )
+from conekit.serialize import canonical_json
+from conekit.suites import SuiteParams, run_suite
 
 A3 = FdAlgebra((2, 1, 3))
 
@@ -259,3 +261,28 @@ class TestDecomposePositive:
         assert f.apply(a) == a2
         assert f.apply(b) == b2
 
+
+
+class TestImageLawSuite:
+    """The ideal/cone image laws, run through the ``lemmas`` suite."""
+
+    def test_all_laws_hold(self):
+        report = run_suite("lemmas", SuiteParams(seed=2026, trials=30))
+        assert set(report["properties"]) == {
+            "ideal_image_is_ideal",
+            "positive_cone_image",
+            "ideal_cone_image",
+            "cone_sum_image",
+            "ideal_sum_cone_image",
+            "full_cone_intersection",
+            "subalgebra_cone_restriction",
+        }
+        for name, entry in report["properties"].items():
+            assert entry["failures"] == 0, f"{name} failed with residual {entry['worst_residual']}"
+            assert entry["trials"] == 30
+            assert entry["worst_residual"] <= 1e-9
+
+    def test_suite_is_deterministic(self):
+        first = run_suite("lemmas", SuiteParams(seed=99, trials=10))
+        second = run_suite("lemmas", SuiteParams(seed=99, trials=10))
+        assert canonical_json(first) == canonical_json(second)
