@@ -3,7 +3,8 @@
 An algebra is a list of block dimensions; an element carries one matrix per
 block.  The star operations, the operator norm (max over blocks), spectra,
 positivity tests and the positive/negative decomposition all reduce blockwise
-to the matrix layer.
+to the matrix layer.  Each spectral operation makes one eigensolve per block
+and builds its outputs from that one ``EigResult``.
 
 Spectra are computed for Hermitian elements directly and for normal elements
 by simultaneous diagonalization of the commuting Hermitian pair
@@ -24,7 +25,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     EigResult,
-    apply_spectral,
+    _offdiag_mass,
     eig_hermitian,
     floor_scale,
     operator_norm,
@@ -181,7 +182,7 @@ def _normal_block_eigenvalues(m: CMatrix, tol: float) -> list[complex]:
     # refine inside (near-)degenerate eigenspaces of the Hermitian part, where
     # the skew part need not be diagonal yet
     n = m.dim
-    scale = floor_scale(max(abs(v) for v in eig_h.eigenvalues) if n else 1.0)
+    scale = floor_scale(max(abs(v) for v in eig_h.eigenvalues))
     refine = np.eye(n, dtype=np.complex128)
     start = 0
     vals = eig_h.eigenvalues
@@ -197,8 +198,7 @@ def _normal_block_eigenvalues(m: CMatrix, tol: float) -> list[complex]:
 
     basis = u @ refine
     final = basis.conj().T @ m.data @ basis
-    off = final - np.diag(np.diag(final))
-    resid = float(np.linalg.norm(off))
+    resid = _offdiag_mass(final)
     if resid > 1e-8 * floor_scale(m.frobenius()):
         raise ConvergenceError("normal-element diagonalization failed", residual=resid)
     return [complex(z) for z in np.diag(final)]
@@ -212,9 +212,7 @@ def spectrum(x: AlgElement, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """
     scale = x.frobenius()
     if x.is_hermitian(tol):
-        values: list[complex] = []
-        for res in _eig_blocks(x, tol):
-            values.extend(complex(v) for v in res.eigenvalues)
+        values = [complex(v) for res in _eig_blocks(x, tol) for v in res.eigenvalues]
         return SpectrumReport(_dedup(values, tol, scale), True)
 
     # normality check: ||x*x - xx*|| small relative to ||x||^2
@@ -223,9 +221,7 @@ def spectrum(x: AlgElement, tol: float = DEFAULT_TOL) -> SpectrumReport:
         raise UnsupportedInputError(
             "spectrum is only computed for normal elements (x*x != xx*)"
         )
-    values = []
-    for p in x.parts:
-        values.extend(_normal_block_eigenvalues(p, tol))
+    values = [z for p in x.parts for z in _normal_block_eigenvalues(p, tol)]
     deduped = _dedup(values, tol, scale)
     is_real = all(abs(z.imag) <= tol * floor_scale(scale) for z in deduped)
     return SpectrumReport(deduped, is_real)
@@ -245,17 +241,24 @@ def positivity_defect(x: AlgElement, tol: float = DEFAULT_TOL) -> float:
     return herm + shortfall
 
 
-def is_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x is Hermitian within tol and all block eigenvalues clear -tol."""
-    if not x.is_hermitian(tol):
-        return False
-    eigs = [v for res in _eig_blocks(x, tol) for v in res.eigenvalues]
+def _spectra_clear_zero(blocks: list[EigResult], tol: float) -> bool:
+    """All block eigenvalues clear -tol, relative to the largest one."""
+    eigs = [v for res in blocks for v in res.eigenvalues]
     scale = floor_scale(max(abs(v) for v in eigs))
     return min(eigs) >= -tol * scale
 
 
-def _clamped_sqrt(t: float) -> float:
-    return math.sqrt(t) if t > 0.0 else 0.0
+def is_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> bool:
+    """True iff x is Hermitian within tol and all block eigenvalues clear -tol."""
+    return x.is_hermitian(tol) and _spectra_clear_zero(_eig_blocks(x, tol), tol)
+
+
+def _clamped_root(x: AlgElement, blocks: list[EigResult]) -> AlgElement:
+    """The square root of x from its block eigensystems, clamped at zero."""
+    return x.parent.element(
+        res.with_eigenvalues([math.sqrt(t) if t > 0 else 0.0 for t in res.eigenvalues])
+        for res in blocks
+    )
 
 
 def sqrt_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> AlgElement:
@@ -264,10 +267,10 @@ def sqrt_positive(x: AlgElement, tol: float = DEFAULT_TOL) -> AlgElement:
     Eigenvalues in the roundoff band below zero are clamped to zero before
     taking the square root, so semidefinite inputs are safe.
     """
-    if not is_positive(x, tol):
+    blocks = _eig_blocks(x, tol) if x.is_hermitian(tol) else None
+    if blocks is None or not _spectra_clear_zero(blocks, tol):
         raise RejectedInputError("sqrt_positive needs a positive element")
-    parts = tuple(apply_spectral(p, _clamped_sqrt, tol) for p in x.parts)
-    return AlgElement(x.parent, parts)
+    return _clamped_root(x, blocks)
 
 
 def pos_neg_parts(
@@ -280,20 +283,12 @@ def pos_neg_parts(
     """
     if not x.is_hermitian(tol):
         raise RejectedInputError("pos_neg_parts needs a Hermitian element")
-    pos_parts, neg_parts, abs_parts = [], [], []
-    for p in x.parts:
-        res = eig_hermitian(p, tol)
-        b = res.basis.data
+    parts = []
+    for res in _eig_blocks(x, tol):
         lams = np.asarray(res.eigenvalues)
-        for target, vals in (
-            (pos_parts, np.maximum(lams, 0.0)),
-            (neg_parts, np.maximum(-lams, 0.0)),
-            (abs_parts, np.abs(lams)),
-        ):
-            out = (b * vals) @ b.conj().T
-            target.append(CMatrix(0.5 * (out + out.conj().T)))
-    alg = x.parent
-    return alg.element(pos_parts), alg.element(neg_parts), alg.element(abs_parts)
+        spectra = (np.maximum(lams, 0.0), np.maximum(-lams, 0.0), np.abs(lams))
+        parts.append(tuple(res.with_eigenvalues(vals) for vals in spectra))
+    return tuple(x.parent.element(output) for output in zip(*parts))
 
 
 def positivity_witness_check(x: AlgElement, tol: float = DEFAULT_TOL) -> bool:
@@ -305,16 +300,12 @@ def positivity_witness_check(x: AlgElement, tol: float = DEFAULT_TOL) -> bool:
     whether its square actually reproduces x.  Returns True iff all three
     routes agree (jointly positive or jointly not).
     """
-    route_spectral = is_positive(x, tol)
-
     if not x.is_hermitian(tol):
-        # b*b and c^2 are Hermitian, so a non-Hermitian x has no witness
-        route_bstarb = False
-        route_square = False
-    else:
-        candidate_parts = tuple(apply_spectral(p, _clamped_sqrt, tol) for p in x.parts)
-        c = AlgElement(x.parent, candidate_parts)
-        route_bstarb = (c.star() @ c).allclose(x, max(tol, 1e-9))
-        route_square = (c @ c).allclose(x, max(tol, 1e-9))
-
+        # b*b and c^2 are Hermitian, so all three routes say "not positive"
+        return True
+    blocks = _eig_blocks(x, tol)
+    route_spectral = _spectra_clear_zero(blocks, tol)
+    c = _clamped_root(x, blocks)
+    route_bstarb = (c.star() @ c).allclose(x, max(tol, 1e-9))
+    route_square = (c @ c).allclose(x, max(tol, 1e-9))
     return route_spectral == route_bstarb == route_square

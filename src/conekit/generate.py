@@ -19,6 +19,8 @@ from .linalg import DEFAULT_TOL
 from .rng import GENERATOR_NAME, SplitMix64, derive_seed
 from .sampling import random_algebra, random_masked_element, random_morphism
 from .serialize import (
+    _build,
+    _expect_dict,
     _expect_int,
     _expect_number,
     canonical_digest,
@@ -87,23 +89,20 @@ def spec_to_json(spec: InstanceSpec) -> dict:
 
 
 def spec_from_json(obj: Any, where: str = "spec") -> InstanceSpec:
-    if not isinstance(obj, dict):
-        raise DecodeError(f"expected an object, got {type(obj).__name__}", where)
     defaults = spec_to_json(InstanceSpec())
-    stray = set(obj) - set(defaults)
+    stray = set(_expect_dict(obj, where)) - set(defaults)
     if stray:
         raise DecodeError(f"unknown fields {sorted(stray)}", where)
     merged = {**defaults, **obj}
-    try:
-        return InstanceSpec(
-            seed=_expect_int(merged["seed"], f"{where}.seed"),
-            blocks=_expect_int(merged["blocks"], f"{where}.blocks"),
-            max_dim=_expect_int(merged["max_dim"], f"{where}.max_dim"),
-            depth=_expect_int(merged["depth"], f"{where}.depth"),
-            tol=_expect_number(merged["tol"], f"{where}.tol"),
-        )
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), where) from exc
+    return _build(
+        where,
+        InstanceSpec,
+        seed=_expect_int(merged["seed"], f"{where}.seed"),
+        blocks=_expect_int(merged["blocks"], f"{where}.blocks"),
+        max_dim=_expect_int(merged["max_dim"], f"{where}.max_dim"),
+        depth=_expect_int(merged["depth"], f"{where}.depth"),
+        tol=_expect_number(merged["tol"], f"{where}.tol"),
+    )
 
 
 @dataclass(frozen=True)
@@ -192,10 +191,10 @@ def check_instance(payload: Any, tol: float | None = None) -> tuple[str, ...]:
     problems.extend(f"first: {p}" for p in first.compatibility_problems())
     problems.extend(f"second: {p}" for p in second.compatibility_problems())
     drift = coherence_defect(element)
-    if drift > tol:
+    if not drift <= tol:  # NaN residuals fail too
         problems.append(f"element: not coherent (residual {drift:.3e})")
     defect = limit_positivity_defect(element, tol)
-    if defect > tol:
+    if not defect <= tol:
         problems.append(f"element: not positive (defect {defect:.3e})")
     if not coherent_ideal_sum(first, second).contains(element, tol):
         problems.append("element: mass outside the ideal sum")

@@ -1,6 +1,7 @@
 """Dense complex matrices and a self-contained Hermitian eigensolver.
 
-Everything in this module targets desk-scale matrices (dim <= 16 or so).
+Everything here targets desk-scale matrices of up to a few dozen rows, as
+each Jacobi sweep is O(n^3) Python-level work (``--max-dim`` has no cap).
 The eigensolver is a cyclic Jacobi iteration with complex plane rotations,
 fixed pivot order (row-major over the upper triangle), a convergence test on
 the off-diagonal Frobenius mass, and a hard sweep cap.  The point of rolling
@@ -32,6 +33,11 @@ DEFAULT_TOL = 1e-9
 def floor_scale(x: float) -> float:
     """Relative-tolerance scale with floor 1."""
     return x if x > 1.0 else 1.0
+
+
+def max_residual(a: float, b: float) -> float:
+    """The larger of two residuals; a NaN on either side wins, so none is hidden."""
+    return b if b > a or math.isnan(b) else a
 
 
 class CMatrix:
@@ -147,9 +153,16 @@ class EigResult:
     basis: CMatrix
 
     def reconstruct(self) -> CMatrix:
-        """basis . diag(eigenvalues) . basis*"""
+        """basis . diag(eigenvalues) . basis*, deliberately not re-symmetrized:
+        the ``eig_reconstruction`` property measures this raw product."""
         b = self.basis.data
         return CMatrix._wrap((b * np.asarray(self.eigenvalues)) @ b.conj().T)
+
+    def with_eigenvalues(self, values) -> CMatrix:
+        """basis . diag(values) . basis*, re-symmetrized to stay Hermitian."""
+        b = self.basis.data
+        out = (b * np.asarray(values)) @ b.conj().T
+        return CMatrix._wrap(0.5 * (out + out.conj().T))
 
     def unitarity_defect(self) -> float:
         b = self.basis.data
@@ -205,18 +218,18 @@ def eig_hermitian(m: CMatrix, tol: float = DEFAULT_TOL) -> EigResult:
     ``ConvergenceError`` (carrying the residual) if the sweep cap is hit.
     """
     scale = floor_scale(m.frobenius())
-    if m.hermitian_defect() > tol * scale:
+    defect = m.hermitian_defect()
+    if defect > tol * scale:
         raise RejectedInputError(
             f"matrix is not Hermitian within tolerance "
-            f"(defect {m.hermitian_defect():.3e} > {tol * scale:.3e})"
+            f"(defect {defect:.3e} > {tol * scale:.3e})"
         )
     n = m.dim
     if n == 1:
         return EigResult((float(m.data[0, 0].real),), CMatrix.identity(1))
 
-    a = np.array(m.data)  # writable working copy
-    # symmetrize once so roundoff in the input cannot bias one triangle
-    a = 0.5 * (a + a.conj().T)
+    # symmetrize once, into a fresh array, so roundoff cannot bias one triangle
+    a = 0.5 * (m.data + m.data.conj().T)
     v = np.eye(n, dtype=np.complex128)
     threshold = JACOBI_TOL * scale
     skip = threshold / (4.0 * n)  # pivots below this cannot block convergence
@@ -252,13 +265,6 @@ def operator_norm(m: CMatrix) -> float:
 def apply_spectral(
     m: CMatrix, f: Callable[[float], float], tol: float = DEFAULT_TOL
 ) -> CMatrix:
-    """Apply a real function to a Hermitian matrix through its eigensystem.
-
-    Returns basis . diag(f(eigenvalues)) . basis*, re-symmetrized so chained
-    calls stay Hermitian to machine precision.
-    """
+    """basis . diag(f(eigenvalues)) . basis* of a Hermitian m, from one eigensolve."""
     eig = eig_hermitian(m, tol)
-    b = eig.basis.data
-    fvals = np.asarray([float(f(lam)) for lam in eig.eigenvalues])
-    out = (b * fvals) @ b.conj().T
-    return CMatrix._wrap(0.5 * (out + out.conj().T))
+    return eig.with_eigenvalues([float(f(lam)) for lam in eig.eigenvalues])

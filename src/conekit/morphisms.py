@@ -229,7 +229,7 @@ def decompose_positive(
     if first.parent != c.parent or second.parent != c.parent:
         raise RejectedInputError("element and ideals must share one algebra")
     defect = positivity_defect(c, tol)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect is rejected too
         raise RejectedInputError(
             f"input is not positive (defect {defect:.3e})"
         )

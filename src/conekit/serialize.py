@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 from .algebra import AlgElement, FdAlgebra
 from .errors import DecodeError, RejectedInputError
@@ -40,6 +40,14 @@ def canonical_json(obj: Any) -> str:
 def canonical_digest(obj: Any) -> str:
     """sha256 hex digest of the canonical JSON text of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def _build(where: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Call ``make``; a RejectedInputError becomes a DecodeError at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except RejectedInputError as exc:
+        raise DecodeError(str(exc), where) from exc
 
 
 def _expect_dict(obj: Any, where: str) -> dict:
@@ -111,10 +119,7 @@ def decode_algebra(obj: Any, where: str = "algebra") -> FdAlgebra:
     body = _expect_dict(obj, where)
     blocks = _expect_list(body.get("blocks"), f"{where}.blocks")
     dims = [_expect_int(b, f"{where}.blocks[{k}]") for k, b in enumerate(blocks)]
-    try:
-        return FdAlgebra(tuple(dims))
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), f"{where}.blocks") from exc
+    return _build(f"{where}.blocks", FdAlgebra, tuple(dims))
 
 
 def encode_element(x: AlgElement) -> dict:
@@ -129,10 +134,7 @@ def decode_element(obj: Any, where: str = "element") -> AlgElement:
     alg = decode_algebra(body.get("algebra"), f"{where}.algebra")
     parts = _expect_list(body.get("parts"), f"{where}.parts")
     mats = [decode_matrix(p, f"{where}.parts[{k}]") for k, p in enumerate(parts)]
-    try:
-        return alg.element(mats)
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), f"{where}.parts") from exc
+    return _build(f"{where}.parts", alg.element, mats)
 
 
 def encode_ideal(ideal: BlockIdeal) -> dict:
@@ -143,10 +145,7 @@ def decode_ideal(obj: Any, alg: FdAlgebra, where: str = "ideal") -> BlockIdeal:
     body = _expect_dict(obj, where)
     support = _expect_list(body.get("support"), f"{where}.support")
     indices = [_expect_int(i, f"{where}.support[{k}]") for k, i in enumerate(support)]
-    try:
-        return BlockIdeal(alg, frozenset(indices))
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), f"{where}.support") from exc
+    return _build(f"{where}.support", BlockIdeal, alg, frozenset(indices))
 
 
 def encode_morphism(f: StarMorphism) -> dict:
@@ -181,10 +180,7 @@ def decode_morphism(
     )
     if target is None:
         target = FdAlgebra(tuple(source.blocks[i] for i in kept))
-    try:
-        return StarMorphism(source, target, kept, twists)
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), where) from exc
+    return _build(where, StarMorphism, source, target, kept, twists)
 
 
 def encode_system(system: DirectedSystem) -> dict:
@@ -226,10 +222,7 @@ def decode_system(obj: Any, where: str = "system") -> DirectedSystem:
         connectors[(lo, hi)] = decode_morphism(
             morph, levels[hi], levels[lo], spot
         )
-    try:
-        return DirectedSystem(levels, frozenset(order), connectors)
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), where) from exc
+    return _build(where, DirectedSystem, levels, frozenset(order), connectors)
 
 
 def encode_coherent_element(elem: CoherentElement) -> dict:
@@ -252,10 +245,7 @@ def decode_coherent_element(
                 f"{where}.{lid}",
             )
         parts[lid] = x
-    try:
-        return CoherentElement(system, parts)
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), where) from exc
+    return _build(where, CoherentElement, system, parts)
 
 
 def encode_coherent_ideal(ideal: CoherentIdeal) -> dict:
@@ -274,7 +264,4 @@ def decode_coherent_ideal(
         supports[lid] = frozenset(
             _expect_int(i, f"{where}.{lid}[{k}]") for k, i in enumerate(indices)
         )
-    try:
-        return CoherentIdeal(system, supports)
-    except RejectedInputError as exc:
-        raise DecodeError(str(exc), where) from exc
+    return _build(where, CoherentIdeal, system, supports)

@@ -17,8 +17,10 @@ results are merged in trial order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .algebra import (
     cstar_norm,
@@ -30,7 +32,7 @@ from .algebra import (
 )
 from .errors import RejectedInputError
 from .generate import InstanceSpec, check_instance, gen_instance, instance_payload
-from .linalg import DEFAULT_TOL, eig_hermitian, floor_scale
+from .linalg import DEFAULT_TOL, eig_hermitian, floor_scale, max_residual
 from .morphisms import decompose_positive, ideal_sum, restrict_to_blocks
 from .rng import GENERATOR_NAME, SplitMix64, derive_seed
 from .sampling import (
@@ -512,7 +514,7 @@ def _run_trial(suite: str, p: SuiteParams, t: int) -> list[tuple]:
             residual, payload = float("inf"), {"error": str(exc)}
             message = f"{type(exc).__name__}: {exc}"
         digest = None
-        if residual > p.tol:
+        if not residual <= p.tol:  # a NaN residual fails too
             digest = canonical_digest(payload)
             if not message:
                 message = f"residual {residual:.3e} exceeds tol {p.tol:.1e}"
@@ -520,19 +522,18 @@ def _run_trial(suite: str, p: SuiteParams, t: int) -> list[tuple]:
     return rows
 
 
-def _trial_star(args):
-    return _run_trial(*args)
-
-
 def _single_report(suite: str, p: SuiteParams) -> dict:
     if suite not in SUITES:
         raise RejectedInputError(f"unknown suite {suite!r}")
-    if p.workers == 1:
-        batches = [_run_trial(suite, p, t) for t in range(p.trials)]
+    trials = range(p.trials)
+    # the pool starts every worker up front, so never ask for idle ones
+    workers = min(p.workers, p.trials, os.cpu_count() or 1)
+    if workers == 1:
+        batches = [_run_trial(suite, p, t) for t in trials]
     else:
-        jobs = [(suite, p, t) for t in range(p.trials)]
-        with ProcessPoolExecutor(max_workers=p.workers) as pool:
-            batches = list(pool.map(_trial_star, jobs, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = pool.map(_run_trial, repeat(suite), repeat(p), trials, chunksize=8)
+            batches = list(runs)
     stats = {
         name: {"trials": p.trials, "failures": 0, "worst_residual": 0.0}
         for name in SUITES[suite]
@@ -541,7 +542,7 @@ def _single_report(suite: str, p: SuiteParams) -> dict:
     for rows in batches:  # batches arrive in trial order
         for name, t, trial_seed, residual, digest, message in rows:
             entry = stats[name]
-            entry["worst_residual"] = max(entry["worst_residual"], residual)
+            entry["worst_residual"] = max_residual(entry["worst_residual"], residual)
             if digest is not None:
                 entry["failures"] += 1
                 failures.append(
@@ -562,7 +563,7 @@ def _single_report(suite: str, p: SuiteParams) -> dict:
 
 
 def _json_residual(residual: float) -> float | None:
-    """JSON has no infinity: a crashed trial's residual is reported as null."""
+    """JSON has no infinity or NaN: a crashed trial or NaN residual is null."""
     return residual if math.isfinite(residual) else None
 
 

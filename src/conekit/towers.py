@@ -11,13 +11,13 @@ splitting are all computed levelwise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .algebra import AlgElement, FdAlgebra, cstar_norm, positivity_defect
 from .errors import RejectedInputError
-from .linalg import DEFAULT_TOL, floor_scale
+from .linalg import DEFAULT_TOL, floor_scale, max_residual
 from .morphisms import BlockIdeal, StarMorphism, compose, decompose_positive
 from .rng import SplitMix64, derive_seed
 from .sampling import random_element
@@ -28,8 +28,8 @@ class DirectedSystem:
     """Levels, an order relation (lo, hi) pairs, and one connector per pair.
 
     ``connectors[(lo, hi)]`` maps the ``hi`` algebra onto the ``lo`` algebra.
-    The order lists strict comparabilities only; reflexive pairs are implied
-    and carry identity connectors.
+    The order lists strict comparabilities only, with no cycles; reflexive
+    pairs are implied and carry identity connectors.
     """
 
     levels: Mapping[str, FdAlgebra]
@@ -47,8 +47,6 @@ class DirectedSystem:
                 raise RejectedInputError(f"order pair ({lo}, {hi}) names unknown levels")
             if lo == hi:
                 raise RejectedInputError(f"order must be strict, got ({lo}, {hi})")
-            if (hi, lo) in order:
-                raise RejectedInputError(f"order is not antisymmetric on ({lo}, {hi})")
         if set(connectors) != set(order):
             raise RejectedInputError("connectors must cover exactly the order pairs")
         for (lo, hi), m in connectors.items():
@@ -59,10 +57,9 @@ class DirectedSystem:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "connectors", connectors)
-
-    @property
-    def level_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.levels))
+        for lo, hi in sorted(order):
+            if hi in self.reaches_down(lo):
+                raise RejectedInputError(f"order has a cycle through level {hi}")
 
     def _below(self, hi: str) -> list[str]:
         return [lo for lo, h in self.order if h == hi]
@@ -70,17 +67,20 @@ class DirectedSystem:
     def _above(self, lo: str) -> list[str]:
         return [hi for l, hi in self.order if l == lo]
 
+    def _walk_down(self, start: str) -> dict[str, str | None]:
+        """Breadth-first walk down from ``start``: level -> first-reached parent."""
+        parents: dict[str, str | None] = {start: None}
+        queue = [start]
+        for cur in queue:  # the queue grows while it is read
+            for nxt in self._below(cur):
+                if nxt not in parents:
+                    parents[nxt] = cur
+                    queue.append(nxt)
+        return parents
+
     def reaches_down(self, start: str) -> set[str]:
         """All levels reachable downward from ``start``, itself included."""
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._below(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
+        return set(self._walk_down(start))
 
     @property
     def top(self) -> str:
@@ -98,19 +98,7 @@ class DirectedSystem:
             return StarMorphism.identity(self.levels[lo])
         if (lo, hi) in self.connectors:
             return self.connectors[(lo, hi)]
-        # walk downward from hi until lo appears
-        parents: dict[str, str] = {}
-        queue = deque([hi])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._below(cur):
-                if nxt in parents or nxt == hi:
-                    continue
-                parents[nxt] = cur
-                if nxt == lo:
-                    queue.clear()
-                    break
-                queue.append(nxt)
+        parents = self._walk_down(hi)
         if lo not in parents:
             raise RejectedInputError(f"level {lo} is not below level {hi}")
         m = None
@@ -161,8 +149,8 @@ def system_validate(system: DirectedSystem, tol: float = DEFAULT_TOL) -> SystemR
                 x = random_element(rng, system.levels[c])
                 gap = direct.apply(x) - composite.apply(x)
                 residual = gap.frobenius() / floor_scale(x.frobenius())
-                worst = max(worst, residual)
-                if residual > tol:
+                worst = max_residual(worst, residual)
+                if not residual <= tol:
                     problems.append(
                         f"composite {a}<{b}<{c} disagrees with the direct "
                         f"connector (residual {residual:.3e})"
@@ -264,7 +252,7 @@ def coherence_defect(elem: CoherentElement) -> float:
     for (lo, hi), m in elem.system.connectors.items():
         pushed = m.apply(elem.parts[hi])
         gap = (pushed - elem.parts[lo]).frobenius()
-        worst = max(worst, gap / floor_scale(elem.parts[hi].frobenius()))
+        worst = max_residual(worst, gap / floor_scale(elem.parts[hi].frobenius()))
     return worst
 
 
@@ -284,7 +272,8 @@ def coherent_from_top(system: DirectedSystem, x_top: AlgElement) -> CoherentElem
 
 
 def limit_positivity_defect(elem: CoherentElement, tol: float = DEFAULT_TOL) -> float:
-    return max(positivity_defect(p, tol) for p in elem.parts.values())
+    defects = (positivity_defect(p, tol) for p in elem.parts.values())
+    return reduce(max_residual, defects)
 
 
 def limit_is_positive(elem: CoherentElement, tol: float = DEFAULT_TOL) -> bool:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conekit import algebra, linalg
 from conekit.algebra import (
     AlgElement,
     FdAlgebra,
@@ -302,3 +303,39 @@ class TestWitnessAgreement:
         x = FdAlgebra((1,)).element([mat([[-2]])])
         assert not is_positive(x)
         assert positivity_witness_check(x)
+
+
+class TestOneSolvePerBlock:
+    """Every spectral operation reads one eigensolve per block."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = linalg.eig_hermitian
+
+        def counting(m, tol=linalg.DEFAULT_TOL):
+            calls.append(m.dim)
+            return real(m, tol)
+
+        monkeypatch.setattr(algebra, "eig_hermitian", counting)
+        monkeypatch.setattr(linalg, "eig_hermitian", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "operation, kind",
+        [
+            (sqrt_positive, "positive"),
+            (positivity_witness_check, "positive"),
+            (positivity_witness_check, "hermitian"),
+            (pos_neg_parts, "hermitian"),
+        ],
+    )
+    def test_one_solve_per_block(self, solves, operation, kind):
+        alg = FdAlgebra((3, 1, 2))
+        rng = SplitMix64(derive_seed(21, "solves", kind))
+        if kind == "positive":
+            x = random_positive_element(rng, alg)
+        else:
+            x = random_hermitian_element(rng, alg)
+        operation(x)
+        assert solves == list(alg.blocks)

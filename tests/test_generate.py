@@ -13,7 +13,7 @@ from conekit.generate import (
     spec_from_json,
     spec_to_json,
 )
-from conekit.serialize import canonical_json
+from conekit.serialize import canonical_digest, canonical_json
 from conekit.towers import (
     coherence_defect,
     coherent_ideal_sum,
@@ -117,3 +117,18 @@ class TestCheckInstance:
 
     def test_non_object_reported(self):
         assert check_instance([1, 2, 3])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_zeroed_level_is_not_coherent_at_any_scale(self, scale):
+        # at 1e200 the Frobenius norms overflow and the residual is inf/inf = NaN
+        payload = instance_payload(InstanceSpec(seed=7, blocks=4, max_dim=8, depth=3))
+        for level, part in payload["element"].items():
+            factor = 0.0 if level == "lv0" else scale
+            for block in part["parts"]:
+                entries = block["entries"]
+                block["entries"] = [[factor * re, factor * im] for re, im in entries]
+        body = {k: v for k, v in payload.items() if k != "digest"}
+        payload["digest"] = canonical_digest(body)
+        problems = check_instance(payload)
+        assert any("not coherent" in p for p in problems), problems

@@ -2,7 +2,9 @@
 
 import pytest
 
+from conekit import suites
 from conekit.errors import RejectedInputError
+from conekit.rng import derive_seed
 from conekit.serialize import canonical_json
 from conekit.suites import SUITE_NAMES, SUITES, SuiteParams, render_report, run_suite
 
@@ -59,7 +61,9 @@ class TestDeterminism:
         second = canonical_json(run_suite("all", p))
         assert first == second
 
-    def test_workers_do_not_change_the_report(self):
+    def test_workers_do_not_change_the_report(self, monkeypatch):
+        # report two CPUs so the real pool runs even on a one-CPU machine
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
         serial = run_suite("theorem", SuiteParams(seed=8, trials=10, workers=1))
         parallel = run_suite("theorem", SuiteParams(seed=8, trials=10, workers=2))
         assert canonical_json(serial) == canonical_json(parallel)
@@ -80,7 +84,7 @@ class TestFailurePath:
         for fail in report["failures"]:
             assert fail["property"] in SUITES["calculus"]
             assert 0 <= fail["trial"] < 5
-            assert isinstance(fail["seed"], int)
+            assert fail["seed"] == derive_seed(9, "calculus", fail["trial"])
             assert len(fail["digest"]) == 64
             assert fail["message"]
 
@@ -88,6 +92,56 @@ class TestFailurePath:
         report = run_suite("calculus", SuiteParams(seed=9, trials=5, tol=1e-18))
         keys = [(f["property"], f["trial"]) for f in report["failures"]]
         assert keys == sorted(keys)
+
+    def test_nan_residual_fails_closed(self, monkeypatch):
+        monkeypatch.setitem(
+            SUITES["cone"], "sum_closure", lambda rng, p: (float("nan"), {"probe": 1})
+        )
+        report = run_suite("cone", SuiteParams(seed=3, trials=4))
+        entry = report["properties"]["sum_closure"]
+        assert entry["failures"] == 4
+        assert entry["worst_residual"] is None
+        assert not report["ok"]
+        assert [f["residual"] for f in report["failures"]] == [None] * 4
+        assert "sum_closure: 4 FAILED" in render_report(report)
+        canonical_json(report)  # no NaN reaches the JSON text
+
+
+class TestWorkerClamp:
+    @pytest.mark.parametrize(
+        "workers, trials, cpus, pools",
+        [
+            (10**6, 3, 8, [3]),
+            (10**6, 5, 4, [4]),
+            (3, 5, 2, [2]),
+            (4, 5, None, []),
+            (1, 5, 8, []),
+        ],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, workers, trials, cpus, pools):
+        created = []
+
+        class InlinePool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+        report = run_suite("cone", SuiteParams(seed=3, trials=trials, workers=workers))
+        assert created == pools
+        serial = run_suite("cone", SuiteParams(seed=3, trials=trials))
+        assert canonical_json(report) == canonical_json(serial)
 
 
 class TestRendering:

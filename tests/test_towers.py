@@ -3,7 +3,7 @@
 import pytest
 
 from conekit.algebra import FdAlgebra, is_positive
-from conekit.errors import RejectedInputError
+from conekit.errors import DecodeError, RejectedInputError
 from conekit.linalg import CMatrix
 from conekit.morphisms import BlockIdeal, StarMorphism
 from conekit.rng import SplitMix64, derive_seed
@@ -14,6 +14,7 @@ from conekit.sampling import (
     random_positive_element,
     random_unitary,
 )
+from conekit.serialize import decode_system, encode_algebra, encode_morphism
 from conekit.towers import (
     CoherentElement,
     CoherentIdeal,
@@ -66,6 +67,23 @@ class TestSystemStructure:
                 frozenset({("a", "a")}),
                 {("a", "a"): StarMorphism.identity(FdAlgebra((2,)))},
             )
+
+    def test_longer_cycle_rejected(self):
+        a = FdAlgebra((2,))
+        order = {("lv0", "lv1"), ("lv1", "lv2"), ("lv2", "lv0")}
+        levels = {lid: a for lid in ("lv0", "lv1", "lv2")}
+        connectors = {pair: StarMorphism.identity(a) for pair in order}
+        with pytest.raises(RejectedInputError, match="cycle through level lv"):
+            DirectedSystem(levels, frozenset(order), connectors)
+        body = {
+            "levels": {lid: encode_algebra(a) for lid in levels},
+            "order": [list(pair) for pair in sorted(order)],
+            "connectors": {
+                f"{lo}<{hi}": encode_morphism(m) for (lo, hi), m in connectors.items()
+            },
+        }
+        with pytest.raises(DecodeError, match="cycle"):
+            decode_system(body)
 
     def test_connector_cover_must_match_order(self):
         a = FdAlgebra((2,))
